@@ -1,14 +1,19 @@
 //! Residency/eviction policies.
 //!
-//! Each policy tracks the resident page set and picks a victim when
-//! the memory is full. LRU is the reference policy (the paper's
-//! simulations use a plain capacity-bounded memory); FIFO, CLOCK and
-//! random exist for sensitivity studies.
-
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+//! A policy picks a victim when the memory is full. LRU is the
+//! reference policy (the paper's simulations use a plain
+//! capacity-bounded memory); FIFO, CLOCK and random exist for
+//! sensitivity studies.
+//!
+//! Policies keep no page index of their own: they work on the slot ids
+//! of [`LocalMemory`](crate::memory::LocalMemory)'s page table, whose
+//! arena entries carry each page's policy state (`Resident`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::memory::Resident;
+use crate::table::{Slot, NIL};
 
 /// Selects an eviction policy implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,448 +28,166 @@ pub enum EvictionPolicy {
     Random(u64),
 }
 
-impl EvictionPolicy {
-    /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn Evictor> {
-        match self {
-            EvictionPolicy::Lru => Box::new(Lru::new()),
-            EvictionPolicy::Fifo => Box::new(Fifo::new()),
-            EvictionPolicy::Clock => Box::new(Clock::new()),
-            EvictionPolicy::Random(seed) => Box::new(RandomEvict::new(seed)),
-        }
-    }
+/// The page table's arena.
+type Arena = [Slot<Resident>];
+
+fn state(arena: &mut Arena, slot: u32) -> &mut Resident {
+    &mut arena[slot as usize].value
 }
 
-/// The policy interface: tracks residents, answers victim queries.
-pub trait Evictor: Send {
-    /// Registers a newly inserted page.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if the page is already resident.
-    fn on_insert(&mut self, page: u64);
-    /// Notes an access to a resident page.
-    fn on_access(&mut self, page: u64);
-    /// Picks and removes the victim page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no page is resident.
-    fn evict(&mut self) -> u64;
-    /// Removes a specific page (e.g. invalidation).
-    fn remove(&mut self, page: u64);
-    /// Whether `page` is resident.
-    fn contains(&self, page: u64) -> bool;
-    /// Number of resident pages.
-    fn len(&self) -> usize;
-    /// Whether nothing is resident.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+/// A doubly linked list threaded through the arena's `prev`/`next`
+/// links: head = most recently inserted (or, for LRU, used).
+#[derive(Debug)]
+pub(crate) struct List {
+    head: u32,
+    tail: u32,
 }
 
-/// O(1) LRU via an arena-backed doubly linked list.
-struct Lru {
-    /// `page -> arena slot`.
-    map: BTreeMap<u64, usize>,
-    /// Arena of list nodes: `(page, prev, next)`; `usize::MAX` = none.
-    nodes: Vec<(u64, usize, usize)>,
-    free: Vec<usize>,
-    head: usize, // Most recent.
-    tail: usize, // Least recent.
-}
-
-const NONE: usize = usize::MAX;
-
-impl Lru {
-    fn new() -> Self {
-        Self {
-            map: BTreeMap::new(),
-            nodes: Vec::new(),
-            free: Vec::new(),
-            head: NONE,
-            tail: NONE,
-        }
-    }
-
-    fn unlink(&mut self, i: usize) {
-        let (_, prev, next) = self.nodes[i];
-        if prev != NONE {
-            self.nodes[prev].2 = next;
+impl List {
+    fn push_front(&mut self, arena: &mut Arena, s: u32) {
+        let old = self.head;
+        let r = state(arena, s);
+        r.prev = NIL;
+        r.next = old;
+        if old == NIL {
+            self.tail = s;
         } else {
+            state(arena, old).prev = s;
+        }
+        self.head = s;
+    }
+
+    fn unlink(&mut self, arena: &mut Arena, s: u32) {
+        let Resident { prev, next, .. } = *state(arena, s);
+        if prev == NIL {
             self.head = next;
-        }
-        if next != NONE {
-            self.nodes[next].1 = prev;
         } else {
+            state(arena, prev).next = next;
+        }
+        if next == NIL {
             self.tail = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.nodes[i].1 = NONE;
-        self.nodes[i].2 = self.head;
-        if self.head != NONE {
-            self.nodes[self.head].1 = i;
-        }
-        self.head = i;
-        if self.tail == NONE {
-            self.tail = i;
-        }
-    }
-}
-
-impl Evictor for Lru {
-    fn on_insert(&mut self, page: u64) {
-        assert!(
-            !self.map.contains_key(&page),
-            "page {page:#x} already resident"
-        );
-        let i = if let Some(i) = self.free.pop() {
-            self.nodes[i] = (page, NONE, NONE);
-            i
         } else {
-            self.nodes.push((page, NONE, NONE));
-            self.nodes.len() - 1
+            state(arena, next).prev = prev;
+        }
+    }
+}
+
+/// A policy's global state; per-page state lives in [`Resident`].
+#[derive(Debug)]
+pub(crate) enum Evictor {
+    /// Evicts the list tail; an access moves the page to the head.
+    Lru(List),
+    /// Evicts the list tail; accesses do not reorder.
+    Fifo(List),
+    /// Sweeps the arena in slot order, clearing referenced bits, and
+    /// evicts the first unreferenced page.
+    Clock {
+        /// Next slot the sweep inspects.
+        hand: usize,
+    },
+    /// Evicts a uniformly drawn entry of `order` (resident slots; each
+    /// page's `pos` is its index here).
+    Random {
+        /// Resident slots, in swap-remove order.
+        order: Vec<u32>,
+        /// Victim draws.
+        rng: StdRng,
+    },
+}
+
+impl Evictor {
+    /// The policy's empty state for a memory of `capacity` pages.
+    pub(crate) fn new(policy: EvictionPolicy, capacity: usize) -> Self {
+        let list = List {
+            head: NIL,
+            tail: NIL,
         };
-        self.map.insert(page, i);
-        self.push_front(i);
+        match policy {
+            EvictionPolicy::Lru => Evictor::Lru(list),
+            EvictionPolicy::Fifo => Evictor::Fifo(list),
+            EvictionPolicy::Clock => Evictor::Clock { hand: 0 },
+            EvictionPolicy::Random(seed) => Evictor::Random {
+                order: Vec::with_capacity(capacity),
+                rng: StdRng::seed_from_u64(seed),
+            },
+        }
     }
 
-    fn on_access(&mut self, page: u64) {
-        if let Some(&i) = self.map.get(&page) {
-            if self.head != i {
-                self.unlink(i);
-                self.push_front(i);
+    /// Registers the page just inserted at `slot`.
+    pub(crate) fn on_insert(&mut self, arena: &mut Arena, slot: u32) {
+        match self {
+            Evictor::Lru(list) | Evictor::Fifo(list) => list.push_front(arena, slot),
+            Evictor::Clock { .. } => state(arena, slot).referenced = true,
+            Evictor::Random { order, .. } => {
+                state(arena, slot).pos = order.len() as u32;
+                order.push(slot);
             }
         }
     }
 
-    fn evict(&mut self) -> u64 {
-        assert!(self.tail != NONE, "evict from empty memory");
-        let i = self.tail;
-        let page = self.nodes[i].0;
-        self.unlink(i);
-        self.free.push(i);
-        self.map.remove(&page);
-        page
-    }
-
-    fn remove(&mut self, page: u64) {
-        if let Some(i) = self.map.remove(&page) {
-            self.unlink(i);
-            self.free.push(i);
-        }
-    }
-
-    fn contains(&self, page: u64) -> bool {
-        self.map.contains_key(&page)
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-}
-
-/// FIFO: eviction order is insertion order; accesses don't matter.
-struct Fifo {
-    queue: VecDeque<u64>,
-    resident: BTreeSet<u64>,
-}
-
-impl Fifo {
-    fn new() -> Self {
-        Self {
-            queue: VecDeque::new(),
-            resident: BTreeSet::new(),
-        }
-    }
-}
-
-impl Evictor for Fifo {
-    fn on_insert(&mut self, page: u64) {
-        assert!(
-            self.resident.insert(page),
-            "page {page:#x} already resident"
-        );
-        self.queue.push_back(page);
-    }
-
-    fn on_access(&mut self, _page: u64) {}
-
-    fn evict(&mut self) -> u64 {
-        loop {
-            // Documented trait contract: evict() panics when empty.
-            // hnp-lint: allow(panic_hygiene): trait-level panic contract
-            let page = self.queue.pop_front().expect("evict from empty memory");
-            // Entries removed via `remove` may linger in the queue;
-            // skip them lazily.
-            if self.resident.remove(&page) {
-                return page;
-            }
-        }
-    }
-
-    fn remove(&mut self, page: u64) {
-        self.resident.remove(&page);
-    }
-
-    fn contains(&self, page: u64) -> bool {
-        self.resident.contains(&page)
-    }
-
-    fn len(&self) -> usize {
-        self.resident.len()
-    }
-}
-
-/// CLOCK / second chance.
-struct Clock {
-    slots: Vec<Option<(u64, bool)>>, // (page, referenced).
-    index: BTreeMap<u64, usize>,
-    hand: usize,
-    free: Vec<usize>,
-}
-
-impl Clock {
-    fn new() -> Self {
-        Self {
-            slots: Vec::new(),
-            index: BTreeMap::new(),
-            hand: 0,
-            free: Vec::new(),
-        }
-    }
-}
-
-impl Evictor for Clock {
-    fn on_insert(&mut self, page: u64) {
-        assert!(
-            !self.index.contains_key(&page),
-            "page {page:#x} already resident"
-        );
-        let slot = if let Some(s) = self.free.pop() {
-            self.slots[s] = Some((page, true));
-            s
-        } else {
-            self.slots.push(Some((page, true)));
-            self.slots.len() - 1
-        };
-        self.index.insert(page, slot);
-    }
-
-    fn on_access(&mut self, page: u64) {
-        if let Some(&s) = self.index.get(&page) {
-            if let Some(entry) = &mut self.slots[s] {
-                entry.1 = true;
-            }
-        }
-    }
-
-    fn evict(&mut self) -> u64 {
-        assert!(!self.index.is_empty(), "evict from empty memory");
-        loop {
-            if self.hand >= self.slots.len() {
-                self.hand = 0;
-            }
-            let h = self.hand;
-            self.hand += 1;
-            if let Some((page, referenced)) = &mut self.slots[h] {
-                if *referenced {
-                    *referenced = false;
-                } else {
-                    let victim = *page;
-                    self.slots[h] = None;
-                    self.free.push(h);
-                    self.index.remove(&victim);
-                    return victim;
+    /// Notes a demand access to the page at `slot`.
+    pub(crate) fn on_access(&mut self, arena: &mut Arena, slot: u32) {
+        match self {
+            Evictor::Lru(list) => {
+                if list.head != slot {
+                    list.unlink(arena, slot);
+                    list.push_front(arena, slot);
                 }
             }
+            Evictor::Clock { .. } => state(arena, slot).referenced = true,
+            Evictor::Fifo(_) | Evictor::Random { .. } => {}
         }
     }
 
-    fn remove(&mut self, page: u64) {
-        if let Some(s) = self.index.remove(&page) {
-            self.slots[s] = None;
-            self.free.push(s);
-        }
-    }
-
-    fn contains(&self, page: u64) -> bool {
-        self.index.contains_key(&page)
-    }
-
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-}
-
-/// Random victim selection.
-struct RandomEvict {
-    pages: Vec<u64>,
-    index: BTreeMap<u64, usize>,
-    rng: StdRng,
-}
-
-impl RandomEvict {
-    fn new(seed: u64) -> Self {
-        Self {
-            pages: Vec::new(),
-            index: BTreeMap::new(),
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    fn swap_remove_at(&mut self, i: usize) -> u64 {
-        let page = self.pages.swap_remove(i);
-        self.index.remove(&page);
-        if i < self.pages.len() {
-            let moved = self.pages[i];
-            self.index.insert(moved, i);
-        }
-        page
-    }
-}
-
-impl Evictor for RandomEvict {
-    fn on_insert(&mut self, page: u64) {
-        assert!(
-            !self.index.contains_key(&page),
-            "page {page:#x} already resident"
-        );
-        self.index.insert(page, self.pages.len());
-        self.pages.push(page);
-    }
-
-    fn on_access(&mut self, _page: u64) {}
-
-    fn evict(&mut self) -> u64 {
-        assert!(!self.pages.is_empty(), "evict from empty memory");
-        let i = self.rng.gen_range(0..self.pages.len());
-        self.swap_remove_at(i)
-    }
-
-    fn remove(&mut self, page: u64) {
-        if let Some(&i) = self.index.get(&page) {
-            self.swap_remove_at(i);
-        }
-    }
-
-    fn contains(&self, page: u64) -> bool {
-        self.index.contains_key(&page)
-    }
-
-    fn len(&self) -> usize {
-        self.pages.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn policies() -> Vec<(&'static str, Box<dyn Evictor>)> {
-        vec![
-            ("lru", EvictionPolicy::Lru.build()),
-            ("fifo", EvictionPolicy::Fifo.build()),
-            ("clock", EvictionPolicy::Clock.build()),
-            ("random", EvictionPolicy::Random(1).build()),
-        ]
-    }
-
-    #[test]
-    fn insert_contains_len_for_all_policies() {
-        for (name, mut e) in policies() {
-            e.on_insert(10);
-            e.on_insert(20);
-            assert!(e.contains(10) && e.contains(20), "{name}");
-            assert_eq!(e.len(), 2, "{name}");
-            e.remove(10);
-            assert!(!e.contains(10), "{name}");
-            assert_eq!(e.len(), 1, "{name}");
-        }
-    }
-
-    #[test]
-    fn evict_empties_everything() {
-        for (name, mut e) in policies() {
-            for p in 0..50u64 {
-                e.on_insert(p);
+    /// Picks the victim, detaches it from the policy and returns its
+    /// slot; the caller frees the slot. At least one page must be
+    /// resident.
+    pub(crate) fn evict(&mut self, arena: &mut Arena) -> u32 {
+        match self {
+            Evictor::Lru(list) | Evictor::Fifo(list) => {
+                let victim = list.tail;
+                list.unlink(arena, victim);
+                victim
             }
-            let mut victims = std::collections::HashSet::new();
-            for _ in 0..50 {
-                victims.insert(e.evict());
-            }
-            assert_eq!(victims.len(), 50, "{name}: distinct victims");
-            assert!(e.is_empty(), "{name}");
-        }
-    }
-
-    #[test]
-    fn lru_evicts_least_recent() {
-        let mut e = EvictionPolicy::Lru.build();
-        e.on_insert(1);
-        e.on_insert(2);
-        e.on_insert(3);
-        e.on_access(1); // Order now (recent->old): 1, 3, 2.
-        assert_eq!(e.evict(), 2);
-        assert_eq!(e.evict(), 3);
-        assert_eq!(e.evict(), 1);
-    }
-
-    #[test]
-    fn fifo_ignores_accesses() {
-        let mut e = EvictionPolicy::Fifo.build();
-        e.on_insert(1);
-        e.on_insert(2);
-        e.on_access(1);
-        assert_eq!(e.evict(), 1);
-    }
-
-    #[test]
-    fn clock_gives_second_chance() {
-        let mut e = EvictionPolicy::Clock.build();
-        e.on_insert(1);
-        e.on_insert(2);
-        // Both referenced; first sweep clears bits, second evicts 1.
-        assert_eq!(e.evict(), 1);
-        // 2's bit was cleared during the sweep.
-        e.on_access(2);
-        e.on_insert(3);
-        // 2 referenced again, 3 referenced on insert: sweep clears both
-        // then evicts 2 (hand position after previous eviction).
-        let v = e.evict();
-        assert!(v == 2 || v == 3);
-    }
-
-    #[test]
-    fn fifo_remove_then_evict_skips_stale_entries() {
-        let mut e = EvictionPolicy::Fifo.build();
-        e.on_insert(1);
-        e.on_insert(2);
-        e.remove(1);
-        assert_eq!(e.evict(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "already resident")]
-    fn double_insert_panics() {
-        let mut e = EvictionPolicy::Lru.build();
-        e.on_insert(5);
-        e.on_insert(5);
-    }
-
-    #[test]
-    fn lru_reuses_freed_arena_slots() {
-        let mut e = EvictionPolicy::Lru.build();
-        for round in 0..10u64 {
-            for p in 0..100u64 {
-                e.on_insert(round * 1000 + p);
-            }
-            for _ in 0..100 {
-                e.evict();
+            Evictor::Clock { hand } => loop {
+                if *hand >= arena.len() {
+                    *hand = 0;
+                }
+                let h = *hand;
+                *hand += 1;
+                let e = &mut arena[h];
+                if e.live {
+                    if e.value.referenced {
+                        e.value.referenced = false;
+                    } else {
+                        return h as u32;
+                    }
+                }
+            },
+            Evictor::Random { order, rng } => {
+                let i = rng.gen_range(0..order.len());
+                Self::swap_remove(order, arena, i)
             }
         }
-        assert!(e.is_empty());
+    }
+
+    /// Detaches the page at `slot` (invalidation, flush).
+    pub(crate) fn remove(&mut self, arena: &mut Arena, slot: u32) {
+        match self {
+            Evictor::Lru(list) | Evictor::Fifo(list) => list.unlink(arena, slot),
+            Evictor::Clock { .. } => {}
+            Evictor::Random { order, .. } => {
+                let i = state(arena, slot).pos as usize;
+                Self::swap_remove(order, arena, i);
+            }
+        }
+    }
+
+    fn swap_remove(order: &mut Vec<u32>, arena: &mut Arena, i: usize) -> u32 {
+        let slot = order.swap_remove(i);
+        if let Some(&moved) = order.get(i) {
+            state(arena, moved).pos = i as u32;
+        }
+        slot
     }
 }

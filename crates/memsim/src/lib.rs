@@ -7,7 +7,8 @@
 //! fetched ahead of demand subject to latency and bandwidth limits.
 //!
 //! * [`evict`] — LRU / FIFO / CLOCK / random residency policies;
-//! * [`memory`] — the resident-page store;
+//! * [`memory`] — the resident-page store, one open-addressed page
+//!   table shared with the eviction policy;
 //! * [`prefetcher`] — the prefetcher interface and feedback events;
 //! * [`deltas`] — the bounded delta vocabulary and miss-history
 //!   window shared by the learned prefetchers;
@@ -28,8 +29,11 @@ pub mod deltas;
 pub mod evict;
 pub mod memory;
 pub mod prefetcher;
+#[cfg(test)]
+mod reference;
 pub mod resilient;
 pub mod sim;
+mod table;
 
 pub use checkpoint::CheckpointCursor;
 pub use deltas::{DeltaVocab, MissHistory};

@@ -16,8 +16,6 @@
 //! latency hiding). This is what makes §5.2's "a perfect but slow
 //! model always prefetches too late" measurable.
 
-use std::collections::BTreeMap;
-
 use serde::Serialize;
 
 use hnp_obs::{Event, FeedbackKind, Registry};
@@ -25,8 +23,9 @@ use hnp_trace::Trace;
 
 use crate::checkpoint::CheckpointCursor;
 use crate::evict::EvictionPolicy;
-use crate::memory::LocalMemory;
+use crate::memory::{LocalMemory, PageMeta};
 use crate::prefetcher::{MissEvent, Prefetcher};
+use crate::table::PageTable;
 
 /// Simulator parameters.
 #[derive(Debug, Clone)]
@@ -206,7 +205,7 @@ impl SimReport {
     /// only place they become numbers, so any observer aggregating the
     /// same stream (e.g. `hnp_obs::Counters`) reproduces the report
     /// exactly.
-    fn apply(&mut self, ev: &Event) {
+    pub(crate) fn apply(&mut self, ev: &Event) {
         match *ev {
             Event::Hit { .. } => {
                 self.accesses += 1;
@@ -277,8 +276,14 @@ impl Simulator {
     ) -> (SimReport, Vec<usize>) {
         let mut cursor = CheckpointCursor::at(checkpoints.iter().map(|&c| c as u64));
         let mut memory = LocalMemory::new(self.cfg.capacity_pages, self.cfg.eviction);
-        // In-flight prefetches: page -> arrival tick.
-        let mut inflight: BTreeMap<u64, u64> = BTreeMap::new();
+        // In-flight prefetches: page -> arrival tick. No page is ever
+        // both in flight and resident.
+        let mut inflight: PageTable<u64> = PageTable::with_capacity(self.cfg.max_inflight);
+        // No in-flight page arrives before this tick (it may be stale
+        // low after a late demand; the landing pass then recomputes it).
+        let mut next_due = u64::MAX;
+        // The landing pass's reused buffer: due `(page, slot)` pairs.
+        let mut due: Vec<(u64, u32)> = Vec::new();
         let mut now: u64 = 0;
         let mut report = SimReport {
             prefetcher: prefetcher.name().to_string(),
@@ -301,36 +306,39 @@ impl Simulator {
             }
             let page = access.page(shift);
             now += 1;
-            // Land arrived prefetches. BTreeMap iterates in page
-            // order, so arrival order cannot leak hash randomness
-            // into eviction order — determinism.
-            if !inflight.is_empty() {
-                let arrived: Vec<u64> = inflight
-                    .iter()
-                    .filter(|&(_, &t)| t <= now)
-                    .map(|(&p, _)| p)
-                    .collect();
-                for p in arrived {
-                    inflight.remove(&p);
+            // Land arrived prefetches, in ascending page order so that
+            // the table's slot order never reaches eviction order —
+            // determinism.
+            if now >= next_due {
+                next_due = u64::MAX;
+                due.clear();
+                for (slot, p, &arrival) in inflight.live() {
+                    if arrival <= now {
+                        due.push((p, slot));
+                    } else {
+                        next_due = next_due.min(arrival);
+                    }
+                }
+                due.sort_unstable();
+                for &(p, slot) in &due {
+                    inflight.remove(slot);
                     Self::insert_accounting(
                         obs,
                         &mut memory,
                         &mut report,
                         prefetcher,
                         p,
-                        true,
-                        now,
+                        PageMeta {
+                            prefetched: true,
+                            touched: false,
+                            arrived: now,
+                        },
                     );
                 }
             }
             // Demand path.
-            if memory.contains(page) {
-                let first_touch_of_prefetch = memory
-                    .meta(page)
-                    .map(|m| m.prefetched && !m.touched)
-                    .unwrap_or(false);
-                memory.touch(page);
-                if first_touch_of_prefetch {
+            if let Some(before) = memory.access(page) {
+                if before.prefetched && !before.touched {
                     dispatch(
                         obs,
                         &mut report,
@@ -346,12 +354,12 @@ impl Simulator {
                 dispatch(obs, &mut report, prefetcher, Event::Hit { tick: now, page });
                 continue;
             }
-            if let Some(&arrival) = inflight.get(&page) {
+            if let Some(slot) = inflight.find(page) {
                 // Late prefetch: wait out the remainder.
+                let (_, arrival) = inflight.remove(slot);
                 let remaining = arrival.saturating_sub(now);
                 let miss_tick = now;
                 now += remaining;
-                inflight.remove(&page);
                 dispatch(
                     obs,
                     &mut report,
@@ -374,8 +382,18 @@ impl Simulator {
                         remaining,
                     },
                 );
-                Self::insert_accounting(obs, &mut memory, &mut report, prefetcher, page, true, now);
-                memory.touch(page);
+                Self::insert_accounting(
+                    obs,
+                    &mut memory,
+                    &mut report,
+                    prefetcher,
+                    page,
+                    PageMeta {
+                        prefetched: true,
+                        touched: true,
+                        arrived: now,
+                    },
+                );
                 continue;
             }
             // Full miss. The prefetcher is consulted at miss start so
@@ -393,8 +411,18 @@ impl Simulator {
                     stall: self.cfg.miss_latency,
                 },
             );
-            Self::insert_accounting(obs, &mut memory, &mut report, prefetcher, page, false, now);
-            memory.touch(page);
+            Self::insert_accounting(
+                obs,
+                &mut memory,
+                &mut report,
+                prefetcher,
+                page,
+                PageMeta {
+                    prefetched: false,
+                    touched: true,
+                    arrived: now,
+                },
+            );
             let miss = MissEvent {
                 page,
                 tick: miss_start,
@@ -407,7 +435,7 @@ impl Simulator {
                 if accepted >= self.cfg.max_issue_per_miss {
                     break;
                 }
-                if memory.contains(cand) || inflight.contains_key(&cand) {
+                if memory.contains(cand) || inflight.find(cand).is_some() {
                     continue;
                 }
                 if inflight.len() >= self.cfg.max_inflight {
@@ -423,6 +451,7 @@ impl Simulator {
                     continue;
                 }
                 inflight.insert(cand, arrival);
+                next_due = next_due.min(arrival);
                 dispatch(
                     obs,
                     &mut report,
@@ -449,24 +478,24 @@ impl Simulator {
         (report, marks)
     }
 
-    /// Inserts a page, accounting for pollution on eviction.
+    /// Inserts a page that is neither resident nor in flight, at tick
+    /// `meta.arrived`, accounting for pollution on eviction.
     fn insert_accounting(
         obs: &Registry,
         memory: &mut LocalMemory,
         report: &mut SimReport,
         prefetcher: &mut dyn Prefetcher,
         page: u64,
-        prefetched: bool,
-        now: u64,
+        meta: PageMeta,
     ) {
-        if let Some((victim, meta)) = memory.insert(page, prefetched, now) {
-            if meta.prefetched && !meta.touched {
+        if let Some((victim, old)) = memory.insert_absent(page, meta) {
+            if old.prefetched && !old.touched {
                 dispatch(
                     obs,
                     report,
                     prefetcher,
                     Event::Feedback {
-                        tick: now,
+                        tick: meta.arrived,
                         page: victim,
                         kind: FeedbackKind::Unused,
                         remaining: 0,
