@@ -180,6 +180,10 @@ pub struct ClsPrefetcher {
     batch_queue: Vec<(Vec<usize>, Vec<u32>, usize)>,
     steps: u64,
     name: String,
+    /// Miss-path workspaces reused across misses: the prediction
+    /// context and the rollout's rows.
+    hist: Vec<usize>,
+    preds: Vec<usize>,
 }
 
 /// Per-stream delta-tracking state.
@@ -235,6 +239,8 @@ impl ClsPrefetcher {
             streams: std::collections::BTreeMap::new(),
             batch_queue: Vec::new(),
             steps: 0,
+            hist: Vec::new(),
+            preds: Vec::new(),
             encoder,
             cfg,
             name,
@@ -286,13 +292,11 @@ impl ClsPrefetcher {
     }
 
     /// The last `window` tokens of a stream's history.
-    fn context_of(history: &VecDeque<usize>, window: usize) -> Vec<usize> {
-        let n = history.len();
+    fn context_of(history: &VecDeque<usize>, window: usize) -> impl Iterator<Item = usize> + '_ {
         history
             .iter()
-            .skip(n.saturating_sub(window))
+            .skip(history.len().saturating_sub(window))
             .copied()
-            .collect()
     }
 
     fn learn(&mut self, ctx: Vec<usize>, token: usize) {
@@ -372,13 +376,15 @@ impl Prefetcher for ClsPrefetcher {
         let token = self.vocab.token_of(delta);
         stream.last_page = Some(miss.page);
         // Learn the transition (context before this token -> token).
-        let ctx = Self::context_of(&stream.history, window);
+        // The context becomes the stored episode's history.
+        let ctx: Vec<usize> = Self::context_of(&stream.history, window).collect();
         // Advance the history now; `learn` borrows self mutably.
         stream.history.push_back(token);
         while stream.history.len() > window + 1 {
             stream.history.pop_front();
         }
-        let hist = Self::context_of(&self.streams[&key].history, window);
+        self.hist.clear();
+        self.hist.extend(Self::context_of(&stream.history, window));
         let replayed_before = self.replay.replayed;
         self.learn(ctx, token);
         let replayed_now = self.replay.replayed - replayed_before;
@@ -416,13 +422,14 @@ impl Prefetcher for ClsPrefetcher {
             Some(a) => (a.lookahead(), a.width()),
             None => (self.cfg.lookahead, self.cfg.width),
         };
-        let (rollout, confidence) =
+        let confidence =
             self.cortex
-                .predict_with_confidence(&hist, &self.encoder, lookahead, width);
+                .predict_into(&self.hist, &self.encoder, lookahead, width, &mut self.preds);
         if confidence < self.cfg.min_confidence {
             return Vec::new();
         }
-        pages_from_rollout(&self.vocab, miss.page, &rollout)
+        let per_step = width.min(self.vocab.len());
+        pages_from_rollout(&self.vocab, miss.page, self.preds.chunks(per_step))
     }
 
     fn on_feedback(&mut self, feedback: &hnp_memsim::prefetcher::PrefetchFeedback) {
@@ -697,6 +704,36 @@ mod tests {
             "the A->B drift must surface as a phase transition"
         );
         assert!(counters.get("epoch_summary") > 0, "epoch summaries flow");
+    }
+
+    #[test]
+    fn training_forward_is_served_from_the_rollout_memo() {
+        // One stream: the rollout's first step at miss t runs the
+        // forward that training at miss t + 1 needs, so every training
+        // forward (from the third miss on; the first two have no
+        // context yet) is reused, while NetStats still counts it.
+        // Lookahead 1 keeps later rollout steps, which can also hit
+        // the memo when a prediction repeats its input, out of the
+        // count.
+        let mut p = ClsPrefetcher::new(ClsConfig::small().with_lookahead(1));
+        let (_, lookahead) = p.geometry();
+        let misses = 600u64;
+        for i in 0..misses {
+            p.on_miss(&MissEvent {
+                page: (i * 3) % 97 + (i % 5) * 1000,
+                tick: i,
+                stream: 0,
+            });
+        }
+        let (trained, _) = p.sampler_stats();
+        assert_eq!(trained, misses - 2);
+        let net = p.cortex_mut().network();
+        assert_eq!(net.forwards_reused(), trained);
+        // Forwards counted: one per training step and per replayed
+        // episode, and `lookahead` per rollout (every miss but the
+        // first predicts).
+        let expected = trained + p.replayed() + lookahead as u64 * (misses - 1);
+        assert_eq!(p.cortex_mut().stats().steps, expected);
     }
 
     #[test]

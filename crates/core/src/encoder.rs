@@ -141,34 +141,47 @@ impl Encoder {
     /// Panics if `history` is empty or contains out-of-vocabulary
     /// tokens.
     pub fn encode(&self, history: &[usize]) -> Vec<u32> {
+        let mut bits = Vec::new();
+        self.encode_into(history, &mut bits);
+        bits
+    }
+
+    /// [`encode`](Self::encode) into a caller-owned buffer, replacing
+    /// its contents; the miss path reuses one buffer across misses. The
+    /// VSA kind still builds its code in fresh vectors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `history` is empty or contains out-of-vocabulary
+    /// tokens.
+    pub fn encode_into(&self, history: &[usize], bits: &mut Vec<u32>) {
         assert!(!history.is_empty(), "empty token history");
         for &t in history {
             assert!(t < self.vocab_len, "token {t} out of vocabulary");
         }
-        let mut bits: Vec<u32> = match self.kind {
+        bits.clear();
+        match self.kind {
             EncoderKind::OneHot => {
-                vec![history[history.len() - 1] as u32]
+                bits.reserve_exact(1);
+                bits.push(history[history.len() - 1] as u32);
             }
             EncoderKind::HistoryWindow { window } => {
                 // Position 0 = newest.
-                history
-                    .iter()
-                    .rev()
-                    .take(window)
-                    .enumerate()
-                    .map(|(pos, &tok)| (pos * self.vocab_len + tok) as u32)
-                    .collect()
+                bits.extend(
+                    history
+                        .iter()
+                        .rev()
+                        .take(window)
+                        .enumerate()
+                        .map(|(pos, &tok)| (pos * self.vocab_len + tok) as u32),
+                );
             }
             EncoderKind::PathHash {
                 window,
                 bits_per,
                 space,
-            } => history
-                .iter()
-                .rev()
-                .take(window)
-                .enumerate()
-                .flat_map(|(pos, &tok)| {
+            } => bits.extend(history.iter().rev().take(window).enumerate().flat_map(
+                |(pos, &tok)| {
                     (0..bits_per).map(move |j| {
                         let mut h = (pos as u64)
                             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -180,20 +193,20 @@ impl Encoder {
                         h ^= h >> 29;
                         (h % space as u64) as u32
                     })
-                })
-                .collect(),
+                },
+            )),
             EncoderKind::Vsa { .. } => {
                 // The table is built in `new()` whenever the kind is
                 // Vsa; the Option only models the other kinds.
                 let table = self.vsa.as_ref();
                 // hnp-lint: allow(panic_hygiene): constructor invariant
                 let table = table.expect("vsa built in new()");
-                return table.encode(history);
+                *bits = table.encode(history);
+                return;
             }
-        };
+        }
         bits.sort_unstable();
         bits.dedup();
-        bits
     }
 }
 

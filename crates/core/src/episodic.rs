@@ -47,17 +47,33 @@ pub enum EpisodicBackend {
 pub trait EpisodicStore {
     /// Offers an episode.
     fn store_episode(&mut self, episode: Episode);
-    /// Samples up to `k` episodes for replay (marking them replayed
-    /// where the backend tracks that), preferring phases other than
-    /// `current_phase` when `prefer_other_phases` is set and the
-    /// backend can honour it.
+    /// Samples up to `k` episodes for replay and hands each to `visit`
+    /// by reference (marking them replayed where the backend tracks
+    /// that), preferring phases other than `current_phase` when
+    /// `prefer_other_phases` is set and the backend can honour it.
+    fn for_each_replay_sample(
+        &mut self,
+        k: usize,
+        current_phase: u64,
+        prefer_other_phases: bool,
+        rng: &mut StdRng,
+        visit: &mut dyn FnMut(&Episode),
+    );
+    /// [`for_each_replay_sample`](Self::for_each_replay_sample),
+    /// collected into owned copies.
     fn sample_for_replay(
         &mut self,
         k: usize,
         current_phase: u64,
         prefer_other_phases: bool,
         rng: &mut StdRng,
-    ) -> Vec<Episode>;
+    ) -> Vec<Episode> {
+        let mut out = Vec::new();
+        self.for_each_replay_sample(k, current_phase, prefer_other_phases, rng, &mut |e| {
+            out.push(e.clone())
+        });
+        out
+    }
     /// Episodes currently stored (prototypes/cues for compressed
     /// backends).
     fn stored(&self) -> usize;
@@ -80,27 +96,15 @@ impl EpisodicStore for Hippocampus {
         );
     }
 
-    fn sample_for_replay(
+    fn for_each_replay_sample(
         &mut self,
         k: usize,
         current_phase: u64,
         prefer_other_phases: bool,
         rng: &mut StdRng,
-    ) -> Vec<Episode> {
-        let mut indices = if prefer_other_phases {
-            self.sample_other_phases(k, current_phase, rng)
-        } else {
-            self.sample(k, rng)
-        };
-        // Descending so `mark_replayed`'s swap_remove cannot invalidate
-        // later indices.
-        indices.sort_unstable_by(|a, b| b.cmp(a));
-        let mut out = Vec::with_capacity(indices.len());
-        for idx in indices {
-            out.push(self.episodes()[idx].clone());
-            self.mark_replayed(idx);
-        }
-        out
+        visit: &mut dyn FnMut(&Episode),
+    ) {
+        self.replay_sample(k, prefer_other_phases.then_some(current_phase), rng, visit);
     }
 
     fn stored(&self) -> usize {
@@ -165,6 +169,10 @@ pub struct AssociativeHippocampus {
     cues: Vec<(Vec<u32>, Vec<u32>, u64)>,
     offered: u64,
     rng: StdRng,
+    /// Replay workspaces: the other-phase cue indices and the episode
+    /// handed to the replay visitor.
+    others: Vec<usize>,
+    replay_buf: Episode,
 }
 
 impl AssociativeHippocampus {
@@ -179,6 +187,18 @@ impl AssociativeHippocampus {
             cues: Vec::new(),
             offered: 0,
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xeca11),
+            others: Vec::new(),
+            replay_buf: Episode {
+                history: Vec::new(),
+                pattern: Vec::new(),
+                recurrent: Vec::new(),
+                target: 0,
+                confidence: 0.0,
+                stored_at: 0,
+                phase: 0,
+                replays: 0,
+                weight: 1,
+            },
             cfg,
         }
     }
@@ -235,51 +255,54 @@ impl EpisodicStore for AssociativeHippocampus {
         }
     }
 
-    fn sample_for_replay(
+    fn for_each_replay_sample(
         &mut self,
         k: usize,
         current_phase: u64,
         prefer_other_phases: bool,
         rng: &mut StdRng,
-    ) -> Vec<Episode> {
+        visit: &mut dyn FnMut(&Episode),
+    ) {
         if self.cues.is_empty() || k == 0 {
-            return Vec::new();
+            return;
         }
-        let candidates: Vec<usize> = if prefer_other_phases {
-            let others: Vec<usize> = (0..self.cues.len())
-                .filter(|&i| self.cues[i].2 != current_phase)
-                .collect();
-            if others.is_empty() {
-                (0..self.cues.len()).collect()
-            } else {
-                others
-            }
-        } else {
-            (0..self.cues.len()).collect()
-        };
-        let mut out = Vec::with_capacity(k);
+        // Without a phase filter (or with no cue outside the current
+        // phase) every cue is a candidate, and the draw indexes the
+        // cues directly.
+        let mut others = std::mem::take(&mut self.others);
+        others.clear();
+        if prefer_other_phases {
+            others.extend(
+                self.cues
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.2 != current_phase)
+                    .map(|(i, _)| i),
+            );
+        }
         for _ in 0..k {
-            let i = candidates[rng.gen_range(0..candidates.len())];
-            let (pattern, recurrent, phase) = self.cues[i].clone();
+            let i = if others.is_empty() {
+                rng.gen_range(0..self.cues.len())
+            } else {
+                others[rng.gen_range(0..others.len())]
+            };
+            let (pattern, recurrent, phase) = &self.cues[i];
             // The target comes from associative recall: the
             // consolidated association for this cue, not a verbatim
             // record — merging of similar episodes is the compression.
-            let Some((target, _)) = self.recall_target(&pattern) else {
+            let Some((target, _)) = self.recall_target(pattern) else {
                 continue;
             };
-            out.push(Episode {
-                history: Vec::new(),
-                pattern,
-                recurrent,
-                target,
-                confidence: 0.0,
-                stored_at: 0,
-                phase,
-                replays: 0,
-                weight: 1,
-            });
+            let e = &mut self.replay_buf;
+            e.pattern.clear();
+            e.pattern.extend_from_slice(pattern);
+            e.recurrent.clear();
+            e.recurrent.extend_from_slice(recurrent);
+            e.target = target;
+            e.phase = *phase;
+            visit(e);
         }
-        out
+        self.others = others;
     }
 
     fn stored(&self) -> usize {

@@ -16,6 +16,11 @@
 //! * [`CapacityPolicy::Averaging`] — merge similar episodes into
 //!   weighted prototypes ("average similar examples, producing single
 //!   representative cases").
+//!
+//! A bounded policy with `capacity: 0` stores nothing; it still counts
+//! every offered episode.
+
+use std::collections::VecDeque;
 
 use rand::Rng;
 
@@ -53,7 +58,11 @@ pub struct Episode {
 pub enum CapacityPolicy {
     /// Store everything (the paper's idealized setup).
     Unbounded,
-    /// Fixed capacity, oldest evicted first.
+    /// Fixed capacity, oldest evicted first. "Oldest" is the earliest
+    /// inserted; ties between episodes of equal `stored_at` go to the
+    /// lowest slot. While `stored_at` never decreases (every caller in
+    /// this workspace stores a step counter) that is exactly the
+    /// minimum-`stored_at`, lowest-slot episode.
     Ring {
         /// Maximum episodes.
         capacity: usize,
@@ -85,6 +94,19 @@ pub enum CapacityPolicy {
     },
 }
 
+impl CapacityPolicy {
+    /// The episode bound, `None` for [`CapacityPolicy::Unbounded`].
+    fn capacity(&self) -> Option<usize> {
+        match *self {
+            CapacityPolicy::Unbounded => None,
+            CapacityPolicy::Ring { capacity }
+            | CapacityPolicy::ConfidenceFiltered { capacity, .. }
+            | CapacityPolicy::Consolidating { capacity, .. }
+            | CapacityPolicy::Averaging { capacity, .. } => Some(capacity),
+        }
+    }
+}
+
 /// The episodic store.
 #[derive(Debug, Clone)]
 pub struct Hippocampus {
@@ -96,6 +118,14 @@ pub struct Hippocampus {
     skipped: u64,
     /// Episodes merged into prototypes.
     merged: u64,
+    /// [`CapacityPolicy::Ring`] only: the slots of `episodes` in
+    /// insertion order, oldest at the front. The newest episode is
+    /// always in the last slot, so it is the back entry.
+    ring: VecDeque<u32>,
+    /// Replay-sampling workspaces, reused across calls.
+    picks: Vec<usize>,
+    swaps: Vec<(usize, usize)>,
+    candidates: Vec<usize>,
 }
 
 impl Hippocampus {
@@ -107,6 +137,10 @@ impl Hippocampus {
             offered: 0,
             skipped: 0,
             merged: 0,
+            ring: VecDeque::new(),
+            picks: Vec::new(),
+            swaps: Vec::new(),
+            candidates: Vec::new(),
         }
     }
 
@@ -159,6 +193,9 @@ impl Hippocampus {
         phase: u64,
     ) {
         self.offered += 1;
+        if self.policy.capacity() == Some(0) {
+            return;
+        }
         let episode = Episode {
             history,
             pattern,
@@ -174,11 +211,9 @@ impl Hippocampus {
             CapacityPolicy::Unbounded => self.episodes.push(episode),
             CapacityPolicy::Ring { capacity } => {
                 if self.episodes.len() >= capacity {
-                    // Evict the oldest (None only for capacity 0).
-                    if let Some(oldest) = self.oldest_index() {
-                        self.episodes.swap_remove(oldest);
-                    }
+                    self.evict_oldest();
                 }
+                self.ring.push_back(self.episodes.len() as u32);
                 self.episodes.push(episode);
             }
             CapacityPolicy::ConfidenceFiltered {
@@ -247,21 +282,9 @@ impl Hippocampus {
 
     /// Samples up to `k` episode indices uniformly without replacement.
     pub fn sample(&self, k: usize, rng: &mut impl Rng) -> Vec<usize> {
-        let n = self.episodes.len();
-        if n == 0 || k == 0 {
-            return Vec::new();
-        }
-        if k >= n {
-            return (0..n).collect();
-        }
-        // Partial Fisher-Yates over an index array.
-        let mut idx: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let j = rng.gen_range(i..n);
-            idx.swap(i, j);
-        }
-        idx.truncate(k);
-        idx
+        let mut out = Vec::new();
+        self.sample_into(k, None, rng, &mut Vec::new(), &mut Vec::new(), &mut out);
+        out
     }
 
     /// Samples up to `k` episodes preferring phases other than
@@ -273,27 +296,73 @@ impl Hippocampus {
         current_phase: u64,
         rng: &mut impl Rng,
     ) -> Vec<usize> {
-        let others: Vec<usize> = self
-            .episodes
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.phase != current_phase)
-            .map(|(i, _)| i)
-            .collect();
-        if others.is_empty() {
-            return self.sample(k, rng);
+        let mut out = Vec::new();
+        self.sample_into(
+            k,
+            Some(current_phase),
+            rng,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut out,
+        );
+        out
+    }
+
+    /// Samples like [`sample_other_phases`](Self::sample_other_phases)
+    /// (with `Some(phase)`) or [`sample`](Self::sample) (with `None`)
+    /// into `out`; `swaps` and `candidates` are workspace.
+    fn sample_into(
+        &self,
+        k: usize,
+        other_than: Option<u64>,
+        rng: &mut impl Rng,
+        swaps: &mut Vec<(usize, usize)>,
+        candidates: &mut Vec<usize>,
+        out: &mut Vec<usize>,
+    ) {
+        candidates.clear();
+        if let Some(phase) = other_than {
+            candidates.extend(
+                self.episodes
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| e.phase != phase)
+                    .map(|(i, _)| i),
+            );
         }
-        if k >= others.len() {
-            return others;
+        if candidates.is_empty() {
+            sample_virtual(self.episodes.len(), k, rng, swaps, out);
+        } else {
+            sample_virtual(candidates.len(), k, rng, swaps, out);
+            out.iter_mut().for_each(|p| *p = candidates[*p]);
         }
-        let mut idx = others;
-        let n = idx.len();
-        for i in 0..k {
-            let j = rng.gen_range(i..n);
-            idx.swap(i, j);
+    }
+
+    /// Samples up to `k` episodes (preferring phases other than
+    /// `other_than`, when given) and hands each to `visit` by
+    /// reference, in descending slot order, marking it replayed right
+    /// after (see [`mark_replayed`](Self::mark_replayed)). Descending
+    /// order keeps a consolidation's `swap_remove` from moving an
+    /// episode that is still to be visited.
+    pub fn replay_sample(
+        &mut self,
+        k: usize,
+        other_than: Option<u64>,
+        rng: &mut impl Rng,
+        mut visit: impl FnMut(&Episode),
+    ) {
+        let mut picks = std::mem::take(&mut self.picks);
+        let mut swaps = std::mem::take(&mut self.swaps);
+        let mut candidates = std::mem::take(&mut self.candidates);
+        self.sample_into(k, other_than, rng, &mut swaps, &mut candidates, &mut picks);
+        picks.sort_unstable_by(|a, b| b.cmp(a));
+        for &idx in &picks {
+            visit(&self.episodes[idx]);
+            self.mark_replayed(idx);
         }
-        idx.truncate(k);
-        idx
+        self.picks = picks;
+        self.swaps = swaps;
+        self.candidates = candidates;
     }
 
     /// Marks an episode as replayed once; under
@@ -319,20 +388,89 @@ impl Hippocampus {
     /// Clears all stored episodes.
     pub fn clear(&mut self) {
         self.episodes.clear();
+        self.ring.clear();
     }
 
-    fn oldest_index(&self) -> Option<usize> {
-        self.episodes
+    /// Ring eviction in O(1) while `stored_at` strictly increases: the
+    /// oldest episode is the ring's front. Ties at the front's
+    /// `stored_at` go to the lowest slot, as the old minimum-`stored_at`
+    /// scan broke them, which costs a walk over the tied run. The
+    /// `swap_remove` layout is kept (replay sampling indexes into it):
+    /// the last slot, which holds the newest episode and so is the
+    /// ring's back entry, moves into the freed slot.
+    fn evict_oldest(&mut self) {
+        let Some(&front) = self.ring.front() else {
+            return;
+        };
+        let oldest_at = self.episodes[front as usize].stored_at;
+        let episodes = &self.episodes;
+        let Some((pos, slot)) = self
+            .ring
             .iter()
             .enumerate()
-            .min_by_key(|(_, e)| e.stored_at)
-            .map(|(i, _)| i)
+            .take_while(|&(_, &s)| episodes[s as usize].stored_at == oldest_at)
+            .min_by_key(|&(_, &s)| s)
+            .map(|(pos, &s)| (pos, s))
+        else {
+            return;
+        };
+        let last = (self.episodes.len() - 1) as u32;
+        debug_assert_eq!(
+            self.ring.back(),
+            Some(&last),
+            "newest sits in the last slot"
+        );
+        self.ring.remove(pos);
+        self.episodes.swap_remove(slot as usize);
+        if slot != last {
+            if let Some(back) = self.ring.back_mut() {
+                *back = slot;
+            }
+        }
     }
 
     fn find_mergeable(&self, episode: &Episode, threshold: f64) -> Option<usize> {
         self.episodes.iter().position(|e| {
             e.target == episode.target && jaccard(&e.pattern, &episode.pattern) >= threshold
         })
+    }
+}
+
+/// Partial Fisher–Yates over the virtual identity array `0..n`: the
+/// first `min(k, n)` entries of the shuffle, in O(k) time and space.
+///
+/// Only the entries a swap has moved are stored (`swaps`, position →
+/// value); every other position holds its own index. The RNG draws
+/// (`gen_range(i..n)` for `i < k`, none when `k >= n`) and the result
+/// are those of shuffling a materialized `(0..n).collect()` array.
+fn sample_virtual(
+    n: usize,
+    k: usize,
+    rng: &mut impl Rng,
+    swaps: &mut Vec<(usize, usize)>,
+    out: &mut Vec<usize>,
+) {
+    out.clear();
+    if n == 0 || k == 0 {
+        return;
+    }
+    if k >= n {
+        out.extend(0..n);
+        return;
+    }
+    swaps.clear();
+    let value_at = |swaps: &[(usize, usize)], p: usize| {
+        swaps.iter().find(|&&(q, _)| q == p).map_or(p, |&(_, v)| v)
+    };
+    for i in 0..k {
+        let j = rng.gen_range(i..n);
+        let (vi, vj) = (value_at(swaps, i), value_at(swaps, j));
+        // Position i is final; later draws start past it.
+        out.push(vj);
+        match swaps.iter_mut().find(|(q, _)| *q == j) {
+            Some(entry) => entry.1 = vi,
+            None => swaps.push((j, vi)),
+        }
     }
 }
 
@@ -481,10 +619,214 @@ mod tests {
     }
 
     #[test]
+    fn capacity_zero_stores_nothing_but_counts_offers() {
+        for policy in [
+            CapacityPolicy::Ring { capacity: 0 },
+            CapacityPolicy::ConfidenceFiltered {
+                capacity: 0,
+                skip_above: 0.9,
+            },
+            CapacityPolicy::Consolidating {
+                capacity: 0,
+                max_replays: 2,
+            },
+            CapacityPolicy::Averaging {
+                capacity: 0,
+                merge_overlap: 0.5,
+            },
+        ] {
+            let mut h = Hippocampus::new(policy);
+            for i in 0..5u64 {
+                ep(&mut h, &[1], 0, 0.5, i);
+            }
+            assert!(h.is_empty(), "{policy:?}");
+            assert_eq!(h.offered(), 5, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn ring_ties_evict_the_lowest_slot_like_the_scan() {
+        // All stamps equal: the scan evicted the lowest slot, which
+        // after the first swap_remove is no longer the earliest
+        // inserted episode.
+        let mut h = Hippocampus::new(CapacityPolicy::Ring { capacity: 3 });
+        let mut r = reference::RingRef::new(3);
+        for bit in 0..12u32 {
+            ep(&mut h, &[bit], 0, 0.5, 0);
+            r.store(&[bit], 0, 0);
+            assert_eq!(h.episodes(), r.episodes.as_slice());
+        }
+    }
+
+    #[test]
     fn jaccard_corner_cases() {
         assert_eq!(jaccard(&[], &[]), 1.0);
         assert_eq!(jaccard(&[1], &[]), 0.0);
         assert_eq!(jaccard(&[1, 2], &[1, 2]), 1.0);
         assert!((jaccard(&[1, 2, 3], &[2, 3, 4]) - 0.5).abs() < 1e-9);
+    }
+
+    /// The pre-index implementations: the O(capacity) minimum-
+    /// `stored_at` ring eviction and Fisher–Yates over a materialized
+    /// index array.
+    mod reference {
+        use super::*;
+
+        /// A ring store that scans for the minimum `stored_at`.
+        pub struct RingRef {
+            pub episodes: Vec<Episode>,
+            capacity: usize,
+        }
+
+        impl RingRef {
+            pub fn new(capacity: usize) -> Self {
+                Self {
+                    episodes: Vec::new(),
+                    capacity,
+                }
+            }
+
+            pub fn store(&mut self, pattern: &[u32], now: u64, phase: u64) {
+                if self.episodes.len() >= self.capacity {
+                    let oldest = self
+                        .episodes
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, e)| e.stored_at)
+                        .map(|(i, _)| i);
+                    if let Some(oldest) = oldest {
+                        self.episodes.swap_remove(oldest);
+                    }
+                }
+                self.episodes.push(Episode {
+                    history: vec![0],
+                    pattern: pattern.to_vec(),
+                    recurrent: vec![],
+                    target: 0,
+                    confidence: 0.5,
+                    stored_at: now,
+                    phase,
+                    replays: 0,
+                    weight: 1,
+                });
+            }
+
+            pub fn mark_replayed(&mut self, index: usize) {
+                self.episodes[index].replays += 1;
+            }
+        }
+
+        /// Partial Fisher–Yates over a materialized copy of `values`.
+        pub fn shuffle_prefix(values: &[usize], k: usize, rng: &mut impl Rng) -> Vec<usize> {
+            if values.is_empty() || k == 0 {
+                return Vec::new();
+            }
+            if k >= values.len() {
+                return values.to_vec();
+            }
+            let mut idx = values.to_vec();
+            let n = idx.len();
+            for i in 0..k {
+                let j = rng.gen_range(i..n);
+                idx.swap(i, j);
+            }
+            idx.truncate(k);
+            idx
+        }
+
+        /// The old `sample_other_phases` (`None`: `sample`).
+        pub fn sample(
+            episodes: &[Episode],
+            k: usize,
+            other_than: Option<u64>,
+            rng: &mut impl Rng,
+        ) -> Vec<usize> {
+            let all: Vec<usize> = (0..episodes.len()).collect();
+            let Some(phase) = other_than else {
+                return shuffle_prefix(&all, k, rng);
+            };
+            let others: Vec<usize> = all
+                .iter()
+                .copied()
+                .filter(|&i| episodes[i].phase != phase)
+                .collect();
+            if others.is_empty() {
+                shuffle_prefix(&all, k, rng)
+            } else {
+                shuffle_prefix(&others, k, rng)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The indexed ring against the minimum-`stored_at` scan over
+        /// random store/sample/replay/clear sequences with
+        /// non-decreasing stamps (ties included).
+        #[test]
+        fn indexed_ring_matches_scan(
+            capacity in 1usize..12,
+            seed in 0u64..1000,
+            ops in proptest::collection::vec((0u8..10, 0u64..3, 0u64..3, 0usize..5), 1..200),
+        ) {
+            let mut h = Hippocampus::new(CapacityPolicy::Ring { capacity });
+            let mut r = reference::RingRef::new(capacity);
+            let (mut fast_rng, mut ref_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let mut now = 0u64;
+            for (n, &(op, step, phase, k)) in ops.iter().enumerate() {
+                match op {
+                    0..=5 => {
+                        now += step;
+                        ep(&mut h, &[n as u32], 0, 0.5, now);
+                        h.episodes.last_mut().expect("stored").phase = phase;
+                        r.store(&[n as u32], now, phase);
+                    }
+                    6 => {
+                        let other = (step > 0).then_some(phase);
+                        let fast = match other {
+                            Some(p) => h.sample_other_phases(k, p, &mut fast_rng),
+                            None => h.sample(k, &mut fast_rng),
+                        };
+                        proptest::prop_assert_eq!(fast, reference::sample(&r.episodes, k, other, &mut ref_rng));
+                    }
+                    7 | 8 => {
+                        let other = (op == 8).then_some(phase);
+                        let mut visited = Vec::new();
+                        h.replay_sample(k, other, &mut fast_rng, |e| visited.push(e.clone()));
+                        let mut picks = reference::sample(&r.episodes, k, other, &mut ref_rng);
+                        picks.sort_unstable_by(|a, b| b.cmp(a));
+                        let mut expected = Vec::new();
+                        for i in picks {
+                            expected.push(r.episodes[i].clone());
+                            r.mark_replayed(i);
+                        }
+                        proptest::prop_assert_eq!(visited, expected);
+                    }
+                    _ => {
+                        h.clear();
+                        r.episodes.clear();
+                    }
+                }
+                proptest::prop_assert_eq!(h.episodes(), r.episodes.as_slice());
+            }
+        }
+
+        /// Virtual Fisher–Yates against the materialized one: the same
+        /// seeded RNG gives the same index lists.
+        #[test]
+        fn virtual_sampling_matches_materialized(
+            n in 0usize..300,
+            k in 0usize..40,
+            seed in 0u64..1000,
+        ) {
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let mut out = Vec::new();
+            sample_virtual(n, k, &mut a, &mut Vec::new(), &mut out);
+            let all: Vec<usize> = (0..n).collect();
+            proptest::prop_assert_eq!(out, reference::shuffle_prefix(&all, k, &mut b));
+            // Both consumed the same draws.
+            proptest::prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
     }
 }

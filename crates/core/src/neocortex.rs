@@ -54,6 +54,12 @@ impl Default for NeocortexConfig {
 pub struct Neocortex {
     net: HebbianNetwork,
     vocab_len: usize,
+    /// Miss-path workspaces reused across calls: the live recurrent
+    /// state saved around a replay step, and the rollout's growing
+    /// token history and its encoding.
+    saved_recurrent: Vec<u32>,
+    rolling: Vec<usize>,
+    pattern: Vec<u32>,
 }
 
 impl Neocortex {
@@ -73,7 +79,13 @@ impl Neocortex {
             ltd_step: cfg.ltd_step,
             ..HebbianConfig::paper_table2()
         });
-        Self { net, vocab_len }
+        Self {
+            net,
+            vocab_len,
+            saved_recurrent: Vec::new(),
+            rolling: Vec::new(),
+            pattern: Vec::new(),
+        }
     }
 
     /// Token-vocabulary size.
@@ -128,10 +140,12 @@ impl Neocortex {
         scale: LrScale,
         recurrent: &[u32],
     ) -> HebbianOutcome {
-        let saved = self.net.recurrent_state().to_vec();
+        self.saved_recurrent.clear();
+        self.saved_recurrent
+            .extend_from_slice(self.net.recurrent_state());
         self.net.set_recurrent_state(recurrent);
         let out = self.net.train_step_opts(pattern, target, scale, false);
-        self.net.set_recurrent_state(&saved);
+        self.net.set_recurrent_state(&self.saved_recurrent);
         out
     }
 
@@ -169,13 +183,38 @@ impl Neocortex {
         steps: usize,
         width: usize,
     ) -> (Vec<Vec<usize>>, f32) {
-        let mut rolling: Vec<usize> = history.to_vec();
-        let pattern = encoder.encode(&rolling);
-        self.net
-            .rollout_top_k_with_confidence(&pattern, steps, width, |tok| {
+        let mut flat = Vec::new();
+        let conf = self.predict_into(history, encoder, steps, width, &mut flat);
+        let per_step = width.min(self.net.config().outputs);
+        (flat.chunks(per_step).map(<[usize]>::to_vec).collect(), conf)
+    }
+
+    /// The allocation-free form of
+    /// [`predict_with_confidence`](Self::predict_with_confidence): the
+    /// rollout's rows of `min(width, vocab)` tokens go into `preds`
+    /// (see [`HebbianNetwork::rollout_into`]).
+    pub fn predict_into(
+        &mut self,
+        history: &[usize],
+        encoder: &Encoder,
+        steps: usize,
+        width: usize,
+        preds: &mut Vec<usize>,
+    ) -> f32 {
+        self.rolling.clear();
+        self.rolling.extend_from_slice(history);
+        encoder.encode_into(&self.rolling, &mut self.pattern);
+        let rolling = &mut self.rolling;
+        self.net.rollout_into(
+            &self.pattern,
+            steps,
+            width,
+            |tok, buf| {
                 rolling.push(tok);
-                encoder.encode(&rolling)
-            })
+                encoder.encode_into(rolling, buf);
+            },
+            preds,
+        )
     }
 }
 

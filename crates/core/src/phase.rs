@@ -54,6 +54,8 @@ pub struct PhaseDetector {
     centroids: Vec<(u64, Vec<f64>)>,
     next_id: u64,
     current_phase: u64,
+    /// The completed window's normalized histogram, reused per window.
+    hist: Vec<f64>,
 }
 
 impl PhaseDetector {
@@ -68,6 +70,7 @@ impl PhaseDetector {
             current_window: vec![0.0; vocab_len],
             filled: 0,
             centroids: Vec::new(),
+            hist: Vec::new(),
             next_id: 1,
             current_phase: 0,
             vocab_len,
@@ -99,14 +102,15 @@ impl PhaseDetector {
             return None;
         }
         // Window complete: normalize and match.
-        let hist = normalize(&self.current_window);
+        normalize_into(&self.current_window, &mut self.hist);
+        let hist = &self.hist;
         self.current_window.iter_mut().for_each(|x| *x = 0.0);
         self.filled = 0;
         let (best, best_sim) = self
             .centroids
             .iter()
             .enumerate()
-            .map(|(i, (_, c))| (i, cosine(&hist, c)))
+            .map(|(i, (_, c))| (i, cosine(hist, c)))
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .unzip();
         let old = self.current_phase;
@@ -126,13 +130,17 @@ impl PhaseDetector {
                 });
             }
         }
-        // Open a new phase.
-        if self.centroids.len() >= self.cfg.max_phases {
-            self.centroids.remove(0);
-        }
+        // Open a new phase, reusing an evicted centroid's storage.
+        let mut centroid = if self.centroids.len() >= self.cfg.max_phases {
+            self.centroids.remove(0).1
+        } else {
+            Vec::new()
+        };
+        centroid.clear();
+        centroid.extend_from_slice(hist);
         let id = self.next_id;
         self.next_id += 1;
-        self.centroids.push((id, hist));
+        self.centroids.push((id, centroid));
         self.current_phase = id;
         Some(PhaseChange {
             from: old,
@@ -142,12 +150,15 @@ impl PhaseDetector {
     }
 }
 
-fn normalize(v: &[f64]) -> Vec<f64> {
+/// Writes `v` scaled to unit length (unchanged when all zero) into
+/// `out`.
+fn normalize_into(v: &[f64], out: &mut Vec<f64>) {
     let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+    out.clear();
     if norm == 0.0 {
-        v.to_vec()
+        out.extend_from_slice(v);
     } else {
-        v.iter().map(|x| x / norm).collect()
+        out.extend(v.iter().map(|x| x / norm));
     }
 }
 

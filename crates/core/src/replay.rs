@@ -24,6 +24,7 @@ use rand::SeedableRng;
 
 use crate::encoder::Encoder;
 use crate::episodic::EpisodicStore;
+use crate::hippocampus::Episode;
 use crate::neocortex::Neocortex;
 
 /// The replay variant.
@@ -118,72 +119,71 @@ impl ReplayScheduler {
             return 0;
         }
         let prefer_other = matches!(self.cfg.form, ReplayForm::OtherPhases);
-        let episodes = store.sample_for_replay(
+        let form = self.cfg.form;
+        let scale = LrScale::from_f32(self.cfg.lr_scale);
+        let mut done = 0usize;
+        store.for_each_replay_sample(
             self.cfg.per_step,
             current_phase,
             prefer_other,
             &mut self.rng,
+            &mut |episode| done += replay_episode(cortex, encoder, form, scale, episode),
         );
-        let scale = LrScale::from_f32(self.cfg.lr_scale);
-        let mut done = 0usize;
-        for episode in episodes {
-            match self.cfg.form {
-                ReplayForm::Interleaved | ReplayForm::OtherPhases => {
-                    cortex.replay_train(
-                        &episode.pattern,
-                        episode.target,
-                        scale,
-                        &episode.recurrent,
-                    );
-                    done += 1;
-                }
-                ReplayForm::Generative { rollout_len } if !episode.history.is_empty() => {
-                    // Generate a continuation from the stored context
-                    // and learn the generated transitions, all under
-                    // the episode's reinstated recurrent context.
-                    let saved = cortex.recurrent_state();
-                    cortex.network_mut().set_recurrent_state(&episode.recurrent);
-                    let preds = cortex.predict(&episode.history, encoder, rollout_len, 1);
-                    let mut hist = episode.history.clone();
-                    // First transition: the episode's real target.
-                    cortex.train_scaled(&episode.pattern, episode.target, scale);
-                    done += 1;
-                    for step in preds {
-                        let next = step[0];
-                        hist.push(next);
-                        let ctx = &hist[..hist.len() - 1];
-                        let pattern = encoder.encode(ctx);
-                        cortex.train_scaled(&pattern, next, scale);
-                        done += 1;
-                    }
-                    cortex.network_mut().set_recurrent_state(&saved);
-                }
-                ReplayForm::Generative { .. } => {
-                    // Compressed backends recall no token history; fall
-                    // back to a plain interleaved step.
-                    cortex.replay_train(
-                        &episode.pattern,
-                        episode.target,
-                        scale,
-                        &episode.recurrent,
-                    );
-                    done += 1;
-                }
-                ReplayForm::SelfReinforce => {
-                    let saved = cortex.recurrent_state();
-                    cortex.network_mut().set_recurrent_state(&episode.recurrent);
-                    let out = {
-                        let net = cortex.network_mut();
-                        net.infer(&episode.pattern, episode.target)
-                    };
-                    cortex.train_scaled(&episode.pattern, out.predicted, scale);
-                    cortex.network_mut().set_recurrent_state(&saved);
-                    done += 1;
-                }
-            }
-        }
         self.replayed += done as u64;
         done
+    }
+}
+
+/// Retrains `cortex` on one sampled episode under `form`; returns the
+/// number of replayed examples.
+fn replay_episode(
+    cortex: &mut Neocortex,
+    encoder: &Encoder,
+    form: ReplayForm,
+    scale: LrScale,
+    episode: &Episode,
+) -> usize {
+    match form {
+        ReplayForm::Interleaved | ReplayForm::OtherPhases => {
+            cortex.replay_train(&episode.pattern, episode.target, scale, &episode.recurrent);
+            1
+        }
+        ReplayForm::Generative { rollout_len } if !episode.history.is_empty() => {
+            // Generate a continuation from the stored context and learn
+            // the generated transitions, all under the episode's
+            // reinstated recurrent context.
+            let saved = cortex.recurrent_state();
+            cortex.network_mut().set_recurrent_state(&episode.recurrent);
+            let preds = cortex.predict(&episode.history, encoder, rollout_len, 1);
+            let mut hist = episode.history.clone();
+            // First transition: the episode's real target.
+            cortex.train_scaled(&episode.pattern, episode.target, scale);
+            let mut done = 1;
+            for step in preds {
+                let next = step[0];
+                hist.push(next);
+                let ctx = &hist[..hist.len() - 1];
+                let pattern = encoder.encode(ctx);
+                cortex.train_scaled(&pattern, next, scale);
+                done += 1;
+            }
+            cortex.network_mut().set_recurrent_state(&saved);
+            done
+        }
+        ReplayForm::Generative { .. } => {
+            // Compressed backends recall no token history; fall back to
+            // a plain interleaved step.
+            cortex.replay_train(&episode.pattern, episode.target, scale, &episode.recurrent);
+            1
+        }
+        ReplayForm::SelfReinforce => {
+            let saved = cortex.recurrent_state();
+            cortex.network_mut().set_recurrent_state(&episode.recurrent);
+            let out = cortex.network_mut().infer(&episode.pattern, episode.target);
+            cortex.train_scaled(&episode.pattern, out.predicted, scale);
+            cortex.network_mut().set_recurrent_state(&saved);
+            1
+        }
     }
 }
 

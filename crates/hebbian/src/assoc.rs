@@ -80,7 +80,11 @@ impl PatternSeparator {
     ///
     /// Panics if the pattern's capacity mismatches `input_bits`.
     pub fn separate(&self, pattern: &BitSet) -> BitSet {
-        assert_eq!(pattern.len(), self.input_bits, "pattern width mismatch");
+        assert_eq!(
+            pattern.capacity(),
+            self.input_bits,
+            "pattern width mismatch"
+        );
         let scores: Vec<i32> = self
             .proj
             .iter()
@@ -131,8 +135,8 @@ impl WillshawMemory {
     ///
     /// Panics on width mismatch.
     pub fn store(&mut self, key: &BitSet, value: &BitSet) {
-        assert_eq!(key.len(), self.key_bits, "key width mismatch");
-        assert_eq!(value.len(), self.value_bits, "value width mismatch");
+        assert_eq!(key.capacity(), self.key_bits, "key width mismatch");
+        assert_eq!(value.capacity(), self.value_bits, "value width mismatch");
         for v in value.iter() {
             for k in key.iter() {
                 self.weights[v].insert(k);
@@ -150,7 +154,7 @@ impl WillshawMemory {
     ///
     /// Panics on width mismatch.
     pub fn recall(&self, key: &BitSet, threshold: usize) -> BitSet {
-        assert_eq!(key.len(), self.key_bits, "key width mismatch");
+        assert_eq!(key.capacity(), self.key_bits, "key width mismatch");
         let mut out = BitSet::new(self.value_bits);
         for (v, row) in self.weights.iter().enumerate() {
             if row.overlap(key) >= threshold {
@@ -169,7 +173,7 @@ impl WillshawMemory {
     ///
     /// Panics on width mismatch.
     pub fn recall_scores(&self, key: &BitSet) -> Vec<usize> {
-        assert_eq!(key.len(), self.key_bits, "key width mismatch");
+        assert_eq!(key.capacity(), self.key_bits, "key width mismatch");
         self.weights.iter().map(|row| row.overlap(key)).collect()
     }
 
@@ -221,7 +225,7 @@ impl AutoAssociativeMemory {
     ///
     /// Panics on width mismatch.
     pub fn store(&mut self, code: &BitSet) {
-        assert_eq!(code.len(), self.bits, "code width mismatch");
+        assert_eq!(code.capacity(), self.bits, "code width mismatch");
         for a in code.iter() {
             for b in code.iter() {
                 if a != b {
@@ -240,7 +244,7 @@ impl AutoAssociativeMemory {
     ///
     /// Panics on width mismatch.
     pub fn complete(&self, cue: &BitSet, max_iters: usize) -> BitSet {
-        assert_eq!(cue.len(), self.bits, "cue width mismatch");
+        assert_eq!(cue.capacity(), self.bits, "cue width mismatch");
         let mut current = cue.clone();
         for _ in 0..max_iters {
             let scores: Vec<i32> = self

@@ -29,24 +29,15 @@ impl BitSet {
         s
     }
 
-    /// Bit capacity.
-    pub fn len(&self) -> usize {
+    /// Bit capacity (named so that it does not read as a set-bit
+    /// count).
+    pub fn capacity(&self) -> usize {
         self.len
     }
 
     /// Whether no bit is set.
-    ///
-    /// (Not `is_empty`: that name would pair with [`BitSet::len`],
-    /// which reports bit *capacity*, and break the Rust convention
-    /// `is_empty() ⇔ len() == 0` for callers.)
     pub fn none_set(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Deprecated alias of [`BitSet::none_set`].
-    #[deprecated(note = "renamed to `none_set`: `len()` is bit capacity, not set-bit count")]
-    pub fn is_empty(&self) -> bool {
-        self.none_set()
     }
 
     /// The backing `u64` words, least-significant bits first: bit `i`

@@ -133,6 +133,32 @@ proptest! {
     }
 }
 
+/// Top-k by selection against the full sort it replaced.
+#[cfg(test)]
+mod top_k {
+    use proptest::prelude::*;
+
+    use crate::network::top_classes;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn selection_matches_full_sort(
+            scores in proptest::collection::vec(-6i32..6, 1..160),
+            width in 1usize..170,
+        ) {
+            let mut order: Vec<usize> = (0..scores.len()).collect();
+            order.sort_by(|&a, &b| scores[b].cmp(&scores[a]).then(a.cmp(&b)));
+            order.truncate(width);
+            let mut out = vec![usize::MAX];
+            top_classes(&scores, width, &mut Vec::new(), &mut out);
+            prop_assert_eq!(out[0], usize::MAX, "appends");
+            prop_assert_eq!(&out[1..], order.as_slice());
+        }
+    }
+}
+
 /// Network-level differential check: a snapshot taken through the
 /// flat-weight state API before any CSR-era step restores into a CSR
 /// network and continues bit-identically — the layout contract the
@@ -160,5 +186,159 @@ mod network_level {
             assert_eq!(a.predicted, b.predicted);
             assert_eq!(a.ops, b.ops);
         }
+    }
+}
+
+/// The forward memo against a network that recomputes every pass:
+/// arbitrary interleavings of training (full, scaled and zero rate),
+/// inference, rollouts, recurrent-state writes and state imports give
+/// identical outcomes, counters, weights and recurrent state.
+#[cfg(test)]
+mod forward_memo {
+    use proptest::prelude::*;
+
+    use crate::lr::LrScale;
+    use crate::network::{HebbianConfig, HebbianNetwork, HebbianOutcome, RecurrentStyle};
+
+    /// Patterns come from a few bits so that inputs repeat and the memo
+    /// is hit often.
+    const BITS: u32 = 4;
+
+    fn same_outcome(a: &HebbianOutcome, b: &HebbianOutcome) -> bool {
+        a.predicted == b.predicted
+            && a.confidence.to_bits() == b.confidence.to_bits()
+            && a.correct == b.correct
+            && a.ops == b.ops
+    }
+
+    fn pattern(bits: &[u32]) -> Vec<u32> {
+        let mut p: Vec<u32> = bits.iter().map(|b| b % BITS).collect();
+        p.sort_unstable();
+        p.dedup();
+        p
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn memo_matches_recomputation(
+            trace_style in any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u8..9, proptest::collection::vec(0u32..BITS, 1..3), 0usize..16, 0u8..3, any::<bool>()),
+                1..80,
+            ),
+        ) {
+            let cfg = HebbianConfig {
+                recurrent_style: if trace_style {
+                    RecurrentStyle::WinnerTrace
+                } else {
+                    RecurrentStyle::PatternCode
+                },
+                ..HebbianConfig::tiny()
+            };
+            let outputs = cfg.outputs;
+            let mut memo = HebbianNetwork::new(cfg.clone());
+            let mut plain = HebbianNetwork::new(cfg);
+            let mut snapshot = memo.export_state();
+            prop_assert_eq!(&snapshot, &plain.export_state());
+            let (mut memo_preds, mut plain_preds) = (Vec::new(), Vec::new());
+            for (op, bits, class, pick, flag) in &ops {
+                let p = pattern(bits);
+                let scale = [LrScale::ONE, LrScale::from_ratio(1, 3), LrScale::ZERO][*pick as usize];
+                let width = *pick as usize + 1;
+                let steps = *class % 4;
+                let encode = |t: usize, buf: &mut Vec<u32>| {
+                    buf.clear();
+                    buf.push(t as u32 % BITS);
+                };
+                plain.clear_forward_memo();
+                match op {
+                    0 | 1 => {
+                        let a = memo.train_step_opts(&p, *class, scale, *flag);
+                        let b = plain.train_step_opts(&p, *class, scale, *flag);
+                        prop_assert!(same_outcome(&a, &b), "train {:?} vs {:?}", a, b);
+                    }
+                    2 => {
+                        let a = memo.infer(&p, *class);
+                        let b = plain.infer(&p, *class);
+                        prop_assert!(same_outcome(&a, &b), "infer {:?} vs {:?}", a, b);
+                    }
+                    3 => {
+                        let a = memo.infer_advance(&p, *class);
+                        let b = plain.infer_advance(&p, *class);
+                        prop_assert!(same_outcome(&a, &b), "infer_advance {:?} vs {:?}", a, b);
+                    }
+                    4 | 5 => {
+                        // A rollout, then (op 5) training on its first
+                        // input: the CLS miss path's reuse.
+                        let a = memo.rollout_into(&p, steps, width, encode, &mut memo_preds);
+                        let b = plain.rollout_into(&p, steps, width, encode, &mut plain_preds);
+                        prop_assert_eq!(a.to_bits(), b.to_bits());
+                        prop_assert_eq!(&memo_preds, &plain_preds);
+                        if *op == 5 {
+                            plain.clear_forward_memo();
+                            let a = memo.train_step_opts(&p, *class % outputs, scale, *flag);
+                            let b = plain.train_step_opts(&p, *class % outputs, scale, *flag);
+                            prop_assert!(same_outcome(&a, &b), "reused train {:?} vs {:?}", a, b);
+                            // The same input again: a stale memo would
+                            // serve pre-update scores here.
+                            plain.clear_forward_memo();
+                            let a = memo.infer(&p, *class % outputs);
+                            let b = plain.infer(&p, *class % outputs);
+                            prop_assert!(same_outcome(&a, &b), "infer after train {:?} vs {:?}", a, b);
+                        }
+                    }
+                    6 => {
+                        let r: Vec<u32> = bits.iter().map(|b| b * 7 % 32).collect();
+                        memo.set_recurrent_state(&r);
+                        plain.set_recurrent_state(&r);
+                    }
+                    7 => {
+                        memo.import_state(&snapshot).expect("same geometry");
+                        plain.import_state(&snapshot).expect("same geometry");
+                    }
+                    _ => {
+                        snapshot = memo.export_state();
+                        prop_assert_eq!(&snapshot, &plain.export_state());
+                    }
+                }
+                prop_assert_eq!(memo.stats(), plain.stats());
+                prop_assert_eq!(memo.weights(), plain.weights());
+                prop_assert_eq!(memo.recurrent_state(), plain.recurrent_state());
+            }
+        }
+    }
+
+    /// A rollout followed by training on its first input serves that
+    /// forward from the memo; the training update, or a state import
+    /// in between, ends the reuse.
+    #[test]
+    fn rollout_then_train_reuses_unless_weights_change() {
+        let mut net = HebbianNetwork::new(HebbianConfig::tiny());
+        for i in 0..30u32 {
+            net.train_step(&[i % BITS], (i as usize + 1) % 16);
+        }
+        let before = net.export_state();
+        let encode = |t: usize, buf: &mut Vec<u32>| *buf = vec![t as u32 % BITS];
+        let mut preds = Vec::new();
+        // Training on [1] leaves the recurrent code of [1], so the key
+        // of the rollout below recurs after the next training step.
+        net.train_step(&[1], 2);
+        net.rollout_into(&[1], 2, 2, encode, &mut preds);
+        let steps = net.stats().steps;
+        net.train_step(&[1], 2);
+        assert_eq!(net.forwards_reused(), 1);
+        assert_eq!(net.stats().steps, steps + 1, "a reused pass still counts");
+        let mut fresh = net.clone();
+        fresh.clear_forward_memo();
+        let (a, b) = (net.infer(&[1], 2), fresh.infer(&[1], 2));
+        assert_eq!(net.forwards_reused(), 1, "the update invalidated the memo");
+        assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
+
+        net.rollout_into(&[1], 2, 2, encode, &mut preds);
+        net.import_state(&before).expect("same geometry");
+        net.train_step(&[1], 2);
+        assert_eq!(net.forwards_reused(), 1, "import invalidates the memo");
     }
 }

@@ -292,7 +292,8 @@ pub struct HebbianNetwork {
     /// Current step's winner set (sorted ascending), written by
     /// [`k_winners_into`].
     winners_buf: Vec<u32>,
-    /// Packed-key workspace for [`k_winners_into`].
+    /// Packed-key workspace for [`k_winners_into`] and
+    /// [`top_classes`].
     kwta_scratch: Vec<u64>,
     /// Winner bitset over the hidden space (Eq.-1 update input).
     winner_set: BitSet,
@@ -308,6 +309,61 @@ pub struct HebbianNetwork {
     prev_winners: Vec<u32>,
     /// Instrumentation counters (read via [`HebbianNetwork::stats`]).
     stats: NetStats,
+    /// The forward pass of the last rollout's first step (see
+    /// [`ForwardMemo`]).
+    memo: ForwardMemo,
+    /// Forward passes served from `memo` instead of being computed.
+    forwards_reused: u64,
+    /// Rollout workspaces: the saved live recurrent state and the
+    /// current and next step's input patterns.
+    rollout_saved: Vec<u32>,
+    rollout_current: Vec<u32>,
+    rollout_next: Vec<u32>,
+}
+
+/// The forward pass recorded by a rollout's first step.
+///
+/// On the CLS miss path, rollout step 0 at miss *t* runs a forward on
+/// `(encode([token_t]), R)`, and the training step at miss *t + 1*
+/// runs one on the same pattern under the same recurrent state `R`,
+/// with no weight write in between. The memo keeps that first forward
+/// keyed by its exact `(pattern, recurrent)` input, so the next
+/// `infer`/`infer_advance`/`train_step_opts` on the same input restores
+/// it instead of recomputing it. Every weight write (an applied
+/// training update, [`HebbianNetwork::import_state`]) invalidates it;
+/// a changed recurrent state or pattern simply misses the key.
+#[derive(Clone, Default)]
+struct ForwardMemo {
+    valid: bool,
+    pattern: Vec<u32>,
+    recurrent: Vec<u32>,
+    winners: Vec<u32>,
+    hidden_scores: Vec<i32>,
+    out_scores: Vec<i32>,
+    ops: usize,
+}
+
+/// Appends the classes of the `width` highest `scores` to `out`, score
+/// descending, ties by ascending class; `keys` is workspace.
+///
+/// Packed keys (bit-inverted sign-biased score high, index low) make
+/// "score desc, index asc" a primitive ascending order. The keys are
+/// unique, so selecting the `width` smallest and sorting only them
+/// gives exactly the prefix a full sort would.
+pub(crate) fn top_classes(scores: &[i32], width: usize, keys: &mut Vec<u64>, out: &mut Vec<usize>) {
+    keys.clear();
+    keys.extend(
+        scores
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (!(s as u32 ^ 0x8000_0000) as u64) << 32 | i as u64),
+    );
+    if width < keys.len() {
+        keys.select_nth_unstable(width);
+        keys.truncate(width);
+    }
+    keys.sort_unstable();
+    out.extend(keys.iter().map(|&key| (key & 0xffff_ffff) as usize));
 }
 
 impl HebbianNetwork {
@@ -388,6 +444,11 @@ impl HebbianNetwork {
             rng,
             prev_winners: Vec::new(),
             stats: NetStats::default(),
+            memo: ForwardMemo::default(),
+            forwards_reused: 0,
+            rollout_saved: Vec::new(),
+            rollout_current: Vec::new(),
+            rollout_next: Vec::new(),
             cfg,
         }
     }
@@ -396,6 +457,28 @@ impl HebbianNetwork {
     /// last [`HebbianNetwork::reset_stats`]).
     pub fn stats(&self) -> NetStats {
         self.stats
+    }
+
+    /// Forward passes served from the forward memo (a rollout's first
+    /// step, reused by the next `infer`/`infer_advance`/training step on
+    /// the same input) instead of being computed. Reused passes still
+    /// count in [`NetStats::steps`].
+    pub fn forwards_reused(&self) -> u64 {
+        self.forwards_reused
+    }
+
+    /// Drops the forward memo, so the next pass is computed (the
+    /// reference behaviour of the memo's differential test).
+    #[cfg(test)]
+    pub(crate) fn clear_forward_memo(&mut self) {
+        self.memo.valid = false;
+    }
+
+    /// Both layers' flat weights, without the RNG re-key of
+    /// [`export_state`](Self::export_state).
+    #[cfg(test)]
+    pub(crate) fn weights(&self) -> (&[i16], &[i16]) {
+        (self.layer1.weights(), self.layer2.weights())
     }
 
     /// Zeroes the instrumentation counters.
@@ -435,10 +518,10 @@ impl HebbianNetwork {
             bits.iter().all(|&b| (b as usize) < self.cfg.recurrent_bits),
             "recurrent bit out of range"
         );
-        let mut v = bits.to_vec();
-        v.sort_unstable();
-        v.dedup();
-        self.recurrent = v;
+        self.recurrent.clear();
+        self.recurrent.extend_from_slice(bits);
+        self.recurrent.sort_unstable();
+        self.recurrent.dedup();
     }
 
     /// Captures the complete learned state for snapshotting.
@@ -489,6 +572,7 @@ impl HebbianNetwork {
         self.prev_winners = state.prev_winners.clone();
         self.stats = state.stats;
         self.rng = StdRng::seed_from_u64(state.rng_key);
+        self.memo.valid = false;
         Ok(())
     }
 
@@ -532,12 +616,58 @@ impl HebbianNetwork {
         ops += 2 * self.cfg.hidden;
         ops += self.layer2.forward(&self.winners_buf, &mut self.out_scores);
         ops += self.cfg.outputs; // Argmax scan.
+        self.note_step();
+        ops
+    }
+
+    /// [`fill_active_inputs`](Self::fill_active_inputs) and
+    /// [`forward`](Self::forward) for `pattern`, served from the
+    /// forward memo when it holds this exact `(pattern, recurrent)`
+    /// input. A served pass restores the winners and scores and still
+    /// does the step's [`NetStats`] bookkeeping, so counters, overlap
+    /// and `prev_winners` match a computed pass exactly.
+    fn forward_on(&mut self, pattern: &[u32]) -> usize {
+        self.fill_active_inputs(pattern);
+        let memo = &self.memo;
+        if !(memo.valid && memo.pattern == pattern && memo.recurrent == self.recurrent) {
+            return self.forward();
+        }
+        self.hidden_scores.copy_from_slice(&memo.hidden_scores);
+        self.out_scores.copy_from_slice(&memo.out_scores);
+        self.winners_buf.clear();
+        self.winners_buf.extend_from_slice(&memo.winners);
+        let ops = memo.ops;
+        self.forwards_reused += 1;
+        self.note_step();
+        ops
+    }
+
+    /// Records the forward pass just computed on `pattern` (under the
+    /// live recurrent state) as the forward memo.
+    fn record_memo(&mut self, pattern: &[u32], ops: usize) {
+        let memo = &mut self.memo;
+        memo.pattern.clear();
+        memo.pattern.extend_from_slice(pattern);
+        memo.recurrent.clear();
+        memo.recurrent.extend_from_slice(&self.recurrent);
+        memo.winners.clear();
+        memo.winners.extend_from_slice(&self.winners_buf);
+        memo.hidden_scores.clear();
+        memo.hidden_scores.extend_from_slice(&self.hidden_scores);
+        memo.out_scores.clear();
+        memo.out_scores.extend_from_slice(&self.out_scores);
+        memo.ops = ops;
+        memo.valid = true;
+    }
+
+    /// Per-step instrumentation: step count, winner overlap with the
+    /// previous step, and the new `prev_winners`.
+    fn note_step(&mut self) {
         self.stats.steps += 1;
         self.stats.overlap_sum += sorted_intersection(&self.winners_buf, &self.prev_winners);
         self.stats.winner_slots += self.winners_buf.len() as u64;
         self.prev_winners.clear();
         self.prev_winners.extend_from_slice(&self.winners_buf);
-        ops
     }
 
     /// Normalized non-negative score share of `class`. The division
@@ -601,8 +731,7 @@ impl HebbianNetwork {
     /// Inference without learning or state change: predicts the next
     /// class for `pattern` and reports confidence on `probe`.
     pub fn infer(&mut self, pattern: &[u32], probe: usize) -> HebbianOutcome {
-        self.fill_active_inputs(pattern);
-        let ops = self.forward();
+        let ops = self.forward_on(pattern);
         let predicted = self.argmax_out();
         HebbianOutcome {
             predicted,
@@ -615,8 +744,7 @@ impl HebbianNetwork {
     /// Inference that advances the recurrent state (the online
     /// prediction path).
     pub fn infer_advance(&mut self, pattern: &[u32], probe: usize) -> HebbianOutcome {
-        self.fill_active_inputs(pattern);
-        let ops = self.forward();
+        let ops = self.forward_on(pattern);
         let predicted = self.argmax_out();
         let out = HebbianOutcome {
             predicted,
@@ -632,22 +760,9 @@ impl HebbianNetwork {
     /// Call after any `infer*`/`train*` step to read multi-candidate
     /// predictions (§5.2's prefetch width).
     pub fn top_predictions(&self, width: usize) -> Vec<usize> {
-        // Packed keys (bit-inverted sign-biased score high, index low)
-        // make "score desc, index asc" a primitive ascending sort —
-        // rollout calls this every lookahead step, and an indirect
-        // comparator over `out_scores` was its single largest cost.
-        let mut keyed: Vec<u64> = self
-            .out_scores
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (!(s as u32 ^ 0x8000_0000) as u64) << 32 | i as u64)
-            .collect();
-        keyed.sort_unstable();
-        keyed.truncate(width);
-        keyed
-            .iter()
-            .map(|&key| (key & 0xffff_ffff) as usize)
-            .collect()
+        let mut out = Vec::new();
+        top_classes(&self.out_scores, width, &mut Vec::new(), &mut out);
+        out
     }
 
     /// One online training step with the base integer step size.
@@ -693,8 +808,7 @@ impl HebbianNetwork {
         anti_hebbian: bool,
     ) -> HebbianOutcome {
         assert!(target < self.cfg.outputs, "target out of range");
-        self.fill_active_inputs(pattern);
-        let mut ops = self.forward();
+        let mut ops = self.forward_on(pattern);
         let predicted = self.argmax_out();
         let outcome_conf = self.confidence_of(target);
 
@@ -707,6 +821,7 @@ impl HebbianNetwork {
         };
         let ops_before_update = ops;
         if apply {
+            self.memo.valid = false;
             let (step, ltd) = if scale.at_least_one() {
                 (
                     scale.scale_step(self.cfg.step),
@@ -817,26 +932,79 @@ impl HebbianNetwork {
         mut encode: impl FnMut(usize) -> Vec<u32>,
         // hnp-lint: allow(integer_purity): diagnostic confidence readout
     ) -> (Vec<Vec<usize>>, f32) {
+        let mut flat = Vec::new();
+        let conf = self.rollout_into(
+            pattern,
+            steps,
+            width,
+            |tok, buf| *buf = encode(tok),
+            &mut flat,
+        );
+        let per_step = width.min(self.cfg.outputs);
+        (flat.chunks(per_step).map(<[usize]>::to_vec).collect(), conf)
+    }
+
+    /// The allocation-free rollout behind
+    /// [`rollout_top_k_with_confidence`](Self::rollout_top_k_with_confidence):
+    /// writes `steps` rows of `min(width, outputs)` classes into `preds`
+    /// (cleared first), row-major, and returns the first step's
+    /// confidence. `encode(token, buf)` replaces `buf` with the pattern
+    /// of a fed-back token; it is not called after the last step.
+    ///
+    /// The first step's forward pass is kept as the forward memo (see
+    /// [`forwards_reused`](Self::forwards_reused)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0`.
+    pub fn rollout_into(
+        &mut self,
+        pattern: &[u32],
+        steps: usize,
+        width: usize,
+        mut encode: impl FnMut(usize, &mut Vec<u32>),
+        preds: &mut Vec<usize>,
+        // hnp-lint: allow(integer_purity): diagnostic confidence readout
+    ) -> f32 {
         assert!(width > 0, "width must be positive");
-        let saved = self.recurrent.clone();
-        let mut preds = Vec::with_capacity(steps);
-        let mut current: Vec<u32> = pattern.to_vec();
+        preds.clear();
+        let mut saved = std::mem::take(&mut self.rollout_saved);
+        let mut current = std::mem::take(&mut self.rollout_current);
+        let mut next = std::mem::take(&mut self.rollout_next);
+        saved.clear();
+        saved.extend_from_slice(&self.recurrent);
+        current.clear();
+        current.extend_from_slice(pattern);
         // hnp-lint: allow(integer_purity): diagnostic confidence readout
         let mut first_conf = 0.0;
         for step in 0..steps {
-            self.fill_active_inputs(&current);
-            self.forward();
-            let top = self.top_predictions(width);
-            let p = top[0];
+            // Step 0 always computes: it defines the memo. A later step
+            // whose fed-back input repeats step 0's (a constant stride
+            // under a repeating recurrent code) is served from it.
+            if step == 0 {
+                self.fill_active_inputs(&current);
+                let ops = self.forward();
+                self.record_memo(&current, ops);
+            } else {
+                self.forward_on(&current);
+            }
+            let row = preds.len();
+            top_classes(&self.out_scores, width, &mut self.kwta_scratch, preds);
+            let p = preds[row];
             if step == 0 {
                 first_conf = self.confidence_of(p);
             }
-            preds.push(top);
             self.advance_recurrent(&current);
-            current = encode(p);
+            if step + 1 < steps {
+                encode(p, &mut next);
+                std::mem::swap(&mut current, &mut next);
+            }
         }
-        self.recurrent = saved;
-        (preds, first_conf)
+        std::mem::swap(&mut self.recurrent, &mut saved);
+        self.rollout_saved = saved;
+        self.rollout_current = current;
+        self.rollout_next = next;
+        first_conf
     }
 }
 

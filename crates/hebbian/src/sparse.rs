@@ -263,7 +263,11 @@ impl SparseLayer {
         dep: i16,
     ) -> usize {
         assert!((output as usize) < self.outputs, "output out of range");
-        assert_eq!(active_inputs.len(), self.inputs, "bitset capacity mismatch");
+        assert_eq!(
+            active_inputs.capacity(),
+            self.inputs,
+            "bitset capacity mismatch"
+        );
         let ltd = dep.saturating_neg();
         let mask_base = output as usize * self.words_per_row;
         let mut rank = output as usize * self.fan_in;
@@ -299,7 +303,11 @@ impl SparseLayer {
     /// wrong capacity.
     pub fn anti_update(&mut self, output: u32, active_inputs: &BitSet, step: i16) -> usize {
         assert!((output as usize) < self.outputs, "output out of range");
-        assert_eq!(active_inputs.len(), self.inputs, "bitset capacity mismatch");
+        assert_eq!(
+            active_inputs.capacity(),
+            self.inputs,
+            "bitset capacity mismatch"
+        );
         let mask_base = output as usize * self.words_per_row;
         let mut rank = output as usize * self.fan_in;
         let mut ops = 0;

@@ -84,25 +84,32 @@ impl DeltaVocab {
 /// first-emission order: a multi-step walk over a short cycle (or an
 /// alternate that lands on a later top-1 page) would otherwise issue
 /// the same prefetch several times, inflating issued-line counts and
-/// wasting queue slots downstream. `BTreeSet` keeps the walk
-/// deterministic (HNP01).
-pub fn pages_from_rollout(vocab: &DeltaVocab, base: u64, rollout: &[Vec<usize>]) -> Vec<u64> {
+/// wasting queue slots downstream. The output holds at most
+/// steps × width pages, so a scan of it is the seen-set.
+///
+/// `rollout` yields one step's candidates at a time (top-1 first): a
+/// `&[Vec<usize>]`, or the rows of a flat buffer via `chunks`.
+pub fn pages_from_rollout<I>(vocab: &DeltaVocab, base: u64, rollout: I) -> Vec<u64>
+where
+    I: IntoIterator,
+    I::Item: AsRef<[usize]>,
+{
     let mut out = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
     let mut acc = base as i64;
     for step in rollout {
+        let step = step.as_ref();
         let Some(&top) = step.first() else { break };
         let Some(d) = vocab.delta_of(top) else {
             break;
         };
         let next = acc + d;
-        if next >= 0 && seen.insert(next as u64) {
+        if next >= 0 && !out.contains(&(next as u64)) {
             out.push(next as u64);
         }
         for &alt in step.iter().skip(1) {
             if let Some(da) = vocab.delta_of(alt) {
                 let p = acc + da;
-                if p >= 0 && seen.insert(p as u64) {
+                if p >= 0 && !out.contains(&(p as u64)) {
                     out.push(p as u64);
                 }
             }

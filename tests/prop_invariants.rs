@@ -111,7 +111,7 @@ proptest! {
     /// capacity.
     #[test]
     fn hippocampus_capacity_bound(
-        capacity in 1usize..64,
+        capacity in 0usize..64,
         n in 1usize..300,
         policy_pick in 0u8..4,
     ) {
